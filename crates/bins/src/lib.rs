@@ -13,8 +13,7 @@
 //! * [`CBufFrame`] — a cacheline-aligned C-Buffer frame (the paper's
 //!   coalescing buffer): tuples are staged here and transferred to the
 //!   store a full line at a time.
-//! * [`BinSink`] / [`BinReader`] — the write- and read-side traits, with
-//!   exact-count [`BinSink::reserve`] fed by the Init phase's counting
+//! * Exact-count [`BinStore::reserve`], fed by the Init phase's counting
 //!   pre-pass.
 //! * Freeze-to-`Arc` publishing ([`BinStore::freeze`]): an immutable
 //!   store is shared by reference count in O(1) — `take_bins`, epoch
@@ -39,4 +38,4 @@ pub mod store;
 pub use frame::{cbuf_capacity, CBufFrame, FrameFlushStats, FRAME_KEYS, LINE_BYTES};
 pub use fusion::{FuseStats, FuseTable};
 pub use identity::{divergent_segments, segment_refs, SegmentSet};
-pub use store::{bin_geometry, BinMemory, BinReader, BinSink, BinStore, FrozenBins};
+pub use store::{bin_geometry, BinMemory, BinStore, FrozenBins};

@@ -80,37 +80,6 @@ impl BinMemory {
     }
 }
 
-/// The write side of a bin layer: exact-count reservation (fed by the
-/// Init phase's counting pre-pass) plus routed insertion.
-pub trait BinSink<V> {
-    /// Pre-reserves per-bin capacity from exact counts.
-    fn reserve(&mut self, counts: &[u32]);
-    /// Routes one `(key, value)` tuple to its bin.
-    fn insert(&mut self, key: u32, value: V);
-}
-
-/// The read side of a bin layer: columnar access to each bin.
-pub trait BinReader<V> {
-    /// Number of bins.
-    fn num_bins(&self) -> usize;
-    /// log2 of the per-bin key range.
-    fn bin_shift(&self) -> u32;
-    /// The key column of bin `b`, in insertion order.
-    fn bin_keys(&self, b: usize) -> &[u32];
-    /// The value column of bin `b`, in insertion order.
-    fn bin_values(&self, b: usize) -> &[V];
-
-    /// Tuples in bin `b`.
-    fn bin_len(&self, b: usize) -> usize {
-        self.bin_keys(b).len()
-    }
-
-    /// Total tuples across bins.
-    fn total_len(&self) -> usize {
-        (0..self.num_bins()).map(|b| self.bin_len(b)).sum()
-    }
-}
-
 /// Structure-of-arrays bins: per-bin contiguous `keys`/`values` columns
 /// with segment-granular capacity growth. This is the single bin
 /// representation shared by `cobra-pb`, `cobra-core`, `cobra-stream`
@@ -358,34 +327,6 @@ impl<V: PartialEq> PartialEq for BinStore<V> {
 
 impl<V: Eq> Eq for BinStore<V> {}
 
-impl<V> BinSink<V> for BinStore<V> {
-    fn reserve(&mut self, counts: &[u32]) {
-        BinStore::reserve(self, counts);
-    }
-
-    fn insert(&mut self, key: u32, value: V) {
-        BinStore::insert(self, key, value);
-    }
-}
-
-impl<V> BinReader<V> for BinStore<V> {
-    fn num_bins(&self) -> usize {
-        self.bins.len()
-    }
-
-    fn bin_shift(&self) -> u32 {
-        self.shift
-    }
-
-    fn bin_keys(&self, b: usize) -> &[u32] {
-        &self.bins[b].keys
-    }
-
-    fn bin_values(&self, b: usize) -> &[V] {
-        &self.bins[b].values
-    }
-}
-
 /// An immutable, reference-counted [`BinStore`]: cloning is O(1) and
 /// every clone shares the same column slabs ([`FrozenBins::ptr_eq`]
 /// observes the sharing). This is how bins travel from `take_bins`
@@ -591,23 +532,6 @@ mod tests {
         assert_eq!(a, b);
         b.push(0, 1, 1);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn sink_and_reader_traits_cover_the_store() {
-        fn fill<S: BinSink<u16>>(s: &mut S) {
-            s.reserve(&[2, 2]);
-            s.insert(0, 1);
-            s.insert(40, 2);
-        }
-        let mut s = BinStore::<u16>::new(64, 2);
-        fill(&mut s);
-        let r: &dyn BinReader<u16> = &s;
-        assert_eq!(r.num_bins(), 2);
-        assert_eq!(r.bin_keys(1), &[40]);
-        assert_eq!(r.bin_values(1), &[2]);
-        assert_eq!(r.bin_len(0), 1);
-        assert_eq!(r.total_len(), 2);
     }
 
     #[test]

@@ -162,9 +162,10 @@ pub fn r7_wire_exhaustiveness(ws: &Workspace) -> Vec<Finding> {
         })
     };
     let in_protocol = |r: &str| r.ends_with("serve/src/protocol.rs");
-    // The server side of the dispatch spans two files since the reactor
-    // split: request/response opcodes in server.rs, streaming opcodes
-    // (REPLICATE, SUBSCRIBE and their responses) in streamer.rs.
+    // The server side spans two files: every request opcode is
+    // dispatched in server.rs; the streaming responses (SEGMENT,
+    // REPL_DONE, SUBSCRIBED, LAGGED, UNSUBSCRIBED, DELTA pushes) are
+    // written in streamer.rs.
     let in_server =
         |r: &str| r.ends_with("serve/src/server.rs") || r.ends_with("serve/src/streamer.rs");
     let in_client = |r: &str| r.ends_with("serve/src/client.rs");

@@ -39,9 +39,9 @@
 //!   The reactor's liveness rests on every syscall being non-blocking;
 //!   one reinstated blocking read stalls every connection on the loop.
 //!   The audited exceptions — the blocking `read_frame`/`write_frame`
-//!   used by the client and the escalated streamer threads, and the
-//!   streamer's deliberate flip back to blocking mode — live in the
-//!   allowlist.
+//!   used by the client and the streamer threads, and the streamer's
+//!   deliberate flip to blocking mode for the one streaming command it
+//!   serves — live in the allowlist.
 //!
 //! The runner walks the workspace **once**, reads each file once, and
 //! applies every rule whose scope covers that file; output is sorted by

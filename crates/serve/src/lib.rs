@@ -15,8 +15,9 @@
 //!   is never hidden: a full shard FIFO becomes an explicit
 //!   `BUSY { accepted }` response (tuple-level admission control), and
 //!   the connection cap refuses the connection (connection-level).
-//!   Streaming requests (`REPLICATE`, `SUBSCRIBE`) escalate off the
-//!   reactor onto dedicated blocking streamer threads.
+//!   A streaming request (`REPLICATE`, `SUBSCRIBE`) escalates off the
+//!   reactor onto a streamer thread for that one command, then the
+//!   connection returns to the reactor.
 //! * [`S3FifoCache`] — the read path. `QUERY` is answered from cached
 //!   `(epoch, block)` slices of published epoch snapshots, evicted with
 //!   the S3-FIFO policy (small/main/ghost queues), so skewed query

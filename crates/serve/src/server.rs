@@ -5,15 +5,16 @@
 //!   clients ──TCP──▶ reactor (nonblocking sockets, level-triggered)
 //!                      │ per round:
 //!                      │   1. unpark WAIT_EPOCH waiters
-//!                      │   2. accept (refuse past max_conns)
+//!                      │   2. accept (refuse past max_conns), adopt
+//!                      │      connections handed back by streamers
 //!                      │   3. read readiness batch → FrameBuf → dispatch
 //!                      │        UPDATE: IngestHandle::try_send (full FIFO → BUSY)
 //!                      │        QUERY:  S3-FIFO snapshot cache
 //!                      │   4. settle: one try_flush for the whole round
 //!                      │   5. flush outboxes (WouldBlock → write interest)
 //!                      │
-//!                      ├──▶ streamer threads (REPLICATE / SUBSCRIBE escalate
-//!                      │    to a dedicated blocking thread, crate::streamer)
+//!                      ├──▶ streamer threads (one REPLICATE round or SUBSCRIBE
+//!                      │    session each, then the socket comes back)
 //!                      ▼
 //!                IngestPipeline ──▶ EpochSnapshot
 //! ```
@@ -53,10 +54,11 @@
 //! `WAIT_EPOCH` never blocks the reactor: the connection parks (read
 //! interest dropped) and is answered at the top of the round that first
 //! sees the epoch committed. `REPLICATE` and `SUBSCRIBE` answer with a
-//! *stream* of frames, so those connections escalate out of the reactor
-//! entirely: the socket flips back to blocking mode and a dedicated
-//! streamer thread ([`crate::streamer`]) serves the connection for the
-//! rest of its life.
+//! *stream* of frames, so those commands escalate out of the reactor: a
+//! streamer thread ([`crate::streamer`]) serves the one command on a
+//! blocking socket, then hands the connection back, and the reactor
+//! adopts it as a fresh request connection. Every other frame, on every
+//! connection, is answered by `dispatch` under the settle rule above.
 //!
 //! The read path never touches the pipeline's accumulators: QUERY is
 //! served from `(epoch, block)` slices of published [`EpochSnapshot`]s,
@@ -73,6 +75,7 @@ use crate::cache::S3FifoCache;
 use crate::protocol::{
     self, ErrorCode, Frame, FrameBuf, WireError, WireStats, MAX_FRAME, MAX_SNAPSHOT_KEYS,
 };
+use crate::streamer::StreamCommand;
 use cobra_mvcc::{diff_range, feed_publish_hook, DeltaHub, EpochStore, RetentionConfig};
 use cobra_poll::{Event, Interest, Poller};
 use cobra_stream::{
@@ -126,11 +129,9 @@ pub struct ServeConfig {
     /// Address to bind (use port 0 for an ephemeral port).
     pub addr: String,
     /// Connections the reactor serves concurrently before refusing new
-    /// ones (escalated streaming connections are not counted — they have
-    /// left the reactor).
+    /// ones (a connection away on a streaming command is not counted
+    /// while it is away, and is re-adopted even at the ceiling).
     pub max_conns: usize,
-    /// Per-frame length ceiling (both directions).
-    pub max_frame: usize,
     /// Snapshot-cache capacity, in blocks.
     pub cache_blocks: usize,
     /// Keys per cached snapshot block.
@@ -164,7 +165,6 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             max_conns: 4096,
-            max_frame: MAX_FRAME,
             cache_blocks: 128,
             cache_block_keys: 1024,
             read_timeout: Duration::from_millis(50),
@@ -272,7 +272,6 @@ pub(crate) struct Ctx {
     pub(crate) stop: AtomicBool,
     pub(crate) num_keys: u32,
     pub(crate) block_keys: u32,
-    pub(crate) max_frame: usize,
     pub(crate) read_timeout: Duration,
     /// The durable data directory (None = in-memory server; replication
     /// requests are refused with `NotDurable`).
@@ -283,9 +282,22 @@ pub(crate) struct Ctx {
     pub(crate) hub: Arc<DeltaHub<u64>>,
     /// Queue depth handed to each new subscriber.
     pub(crate) sub_queue_epochs: usize,
-    /// Streamer threads spawned by connection escalation; joined on
+    /// The reactor's event queue, shared so streamer threads can hand
+    /// connections back (see [`RESUME_TOKEN`]).
+    pub(crate) poller: Poller,
+    /// Streamer threads and the connections they hand back.
+    pub(crate) streamers: Mutex<Streamers>,
+}
+
+/// Streamer bookkeeping shared by the reactor and the streamer threads.
+#[derive(Default)]
+pub(crate) struct Streamers {
+    /// Streamer threads not yet reaped; the live ones are joined on
     /// shutdown after the reactor.
-    pub(crate) streamers: Mutex<Vec<JoinHandle<()>>>,
+    pub(crate) threads: Vec<JoinHandle<()>>,
+    /// Connections handed back after their streaming command, with every
+    /// byte the streamer read past it; adopted by the reactor.
+    pub(crate) resumed: Vec<(TcpStream, Vec<u8>)>,
 }
 
 impl Ctx {
@@ -422,13 +434,13 @@ impl Server {
             stop: AtomicBool::new(false),
             num_keys,
             block_keys: cfg.cache_block_keys,
-            max_frame: cfg.max_frame,
             read_timeout: cfg.read_timeout,
             data_dir,
             store,
             hub,
             sub_queue_epochs: cfg.sub_queue_epochs,
-            streamers: Mutex::new(Vec::new()),
+            poller,
+            streamers: Mutex::new(Streamers::default()),
         });
 
         let reactor = {
@@ -437,7 +449,7 @@ impl Server {
             let idle_budget = cfg.idle_budget;
             std::thread::Builder::new()
                 .name("cobra-serve-reactor".into())
-                .spawn(move || reactor_loop(&ctx, &listener, &poller, max_conns, idle_budget))
+                .spawn(move || reactor_loop(&ctx, &listener, max_conns, idle_budget))
                 .expect("spawn serve reactor")
         };
 
@@ -494,13 +506,13 @@ impl Server {
         }
         // Only the reactor spawns streamers, so after its join the
         // registry is final.
-        let streamers: Vec<JoinHandle<()>> = {
-            let mut guard = self
+        let streamers = {
+            let mut registry = self
                 .ctx
                 .streamers
                 .lock()
                 .expect("streamer registry poisoned");
-            guard.drain(..).collect()
+            std::mem::take(&mut registry.threads)
         };
         for streamer in streamers {
             streamer.join().expect("serve streamer panicked");
@@ -516,6 +528,10 @@ impl Server {
 
 /// The listener's poll token; connections get 0, 1, 2, …
 const LISTENER_TOKEN: u64 = u64::MAX;
+/// The token a streamer thread registers a handed-back connection under
+/// (write interest, so it fires at once); the reactor then adopts every
+/// queued connection under a fresh token.
+pub(crate) const RESUME_TOKEN: u64 = u64::MAX - 1;
 /// Per-`read` scratch size.
 const READ_CHUNK: usize = 16 * 1024;
 /// Per-connection per-round read ceiling: one firehose connection may
@@ -543,9 +559,9 @@ enum Mode {
     /// A goodbye (usually an `Error` frame) is in the outbox; close once
     /// it has flushed.
     Draining,
-    /// A `REPLICATE`/`SUBSCRIBE` arrived: hand the socket to a dedicated
-    /// streamer thread in the flush phase (after the round's settle).
-    Escalating(Box<Frame>),
+    /// A `REPLICATE`/`SUBSCRIBE` arrived: hand the socket to a streamer
+    /// thread in the flush phase (after the round's settle).
+    Escalating(StreamCommand),
 }
 
 /// One reactor-managed connection.
@@ -616,8 +632,8 @@ enum Action {
     Respond(Box<Frame>),
     /// Park the connection until `epoch` commits.
     Park { epoch: u64 },
-    /// Hand the connection to a streamer thread with this frame first.
-    Escalate(Box<Frame>),
+    /// Hand the connection to a streamer thread for this command.
+    Escalate(StreamCommand),
 }
 
 /// Wraps a response frame for staging ([`Action::Respond`] boxes it).
@@ -632,13 +648,8 @@ fn stage(conn: &mut Conn, frame: &Frame, scratch: &mut Vec<u8>) {
 }
 
 /// The reactor: every request connection, one thread, no blocking I/O.
-fn reactor_loop(
-    ctx: &Arc<Ctx>,
-    listener: &TcpListener,
-    poller: &Poller,
-    max_conns: usize,
-    idle_budget: Duration,
-) {
+fn reactor_loop(ctx: &Arc<Ctx>, listener: &TcpListener, max_conns: usize, idle_budget: Duration) {
+    let poller = &ctx.poller;
     let mut handle = ctx.pipeline.handle();
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_token: u64 = 0;
@@ -718,16 +729,23 @@ fn reactor_loop(
                 Err(_) => break, // WouldBlock or transient accept failure
             }
         }
+        // Connections streamer threads handed back join the reactor
+        // before the read phase, whose resume sweep answers the frames
+        // they already carry.
+        if events.iter().any(|e| e.token == RESUME_TOKEN) {
+            adopt_resumed(ctx, &mut conns, &mut next_token);
+        }
 
         // 3. Read phase: drain readable sockets into frame buffers and
         // dispatch every complete frame. Responses only reach the outbox
         // here — no socket write happens before the settle below.
         //
         // Connections whose write-backpressure pause ended (the flush
-        // phase drained their outbox below the high-water mark) resume
-        // first: the frames they buffered but could not answer ride this
-        // round's settle. No readable event fires for them — the bytes
-        // sit in the inbox, not the socket — so they need this sweep.
+        // phase drained their outbox below the high-water mark), and
+        // connections just handed back by a streamer, resume first: the
+        // frames they buffered but could not answer ride this round's
+        // settle. No readable event fires for them — the bytes sit in the
+        // inbox, not the socket — so they need this sweep.
         let resumable: Vec<u64> = conns
             .iter()
             .filter(|(_, c)| {
@@ -742,7 +760,7 @@ fn reactor_loop(
         }
         let readable: Vec<u64> = events
             .iter()
-            .filter(|e| e.readable && e.token != LISTENER_TOKEN)
+            .filter(|e| e.readable && e.token != LISTENER_TOKEN && e.token != RESUME_TOKEN)
             .map(|e| e.token)
             .collect();
         for token in readable {
@@ -782,13 +800,13 @@ fn reactor_loop(
             };
             if let Mode::Escalating(_) = conn.mode {
                 let _ = poller.deregister(&conn.stream);
-                let Mode::Escalating(first) = std::mem::replace(&mut conn.mode, Mode::Draining)
+                let Mode::Escalating(command) = std::mem::replace(&mut conn.mode, Mode::Draining)
                 else {
                     continue;
                 };
                 let leftover = conn.inbox.take_rest();
                 let pending = conn.outbox[conn.sent..].to_vec();
-                crate::streamer::escalate(ctx, conn.stream, leftover, pending, *first);
+                crate::streamer::escalate(ctx, conn.stream, leftover, pending, command);
                 continue;
             }
             flush_outbox(&mut conn);
@@ -888,6 +906,28 @@ fn reactor_loop(
     }
 }
 
+/// Adopts every connection a streamer thread handed back as a fresh
+/// request connection: its unread bytes pre-fill the inbox (the read
+/// phase's resume sweep dispatches them), and the fd moves from
+/// [`RESUME_TOKEN`] to its own token with read interest.
+fn adopt_resumed(ctx: &Ctx, conns: &mut HashMap<u64, Conn>, next_token: &mut u64) {
+    let resumed = {
+        let mut registry = ctx.streamers.lock().expect("streamer registry poisoned");
+        std::mem::take(&mut registry.resumed)
+    };
+    for (stream, inbox) in resumed {
+        let token = *next_token;
+        *next_token += 1;
+        if ctx.poller.modify(&stream, token, Interest::READ).is_err() {
+            let _ = ctx.poller.deregister(&stream);
+            continue; // drop closes the socket
+        }
+        let mut conn = Conn::new(stream);
+        conn.inbox.extend(&inbox);
+        conns.insert(token, conn);
+    }
+}
+
 /// Reads until `WouldBlock`, EOF, or the per-round cap.
 fn read_into_inbox(conn: &mut Conn) {
     let mut buf = [0u8; READ_CHUNK];
@@ -936,7 +976,7 @@ fn drain_inbox(
             // resume sweep once the outbox drains.
             break;
         }
-        match conn.inbox.next_frame(ctx.max_frame) {
+        match conn.inbox.next_frame(MAX_FRAME) {
             Ok(Some(frame)) => {
                 extracted += 1;
                 // ordering: Relaxed — stats counter.
@@ -953,8 +993,8 @@ fn drain_inbox(
                         conn.partial_since = None;
                         break;
                     }
-                    Action::Escalate(first) => {
-                        conn.mode = Mode::Escalating(first);
+                    Action::Escalate(command) => {
+                        conn.mode = Mode::Escalating(command);
                         break;
                     }
                 }
@@ -1071,16 +1111,16 @@ fn dispatch(
                 epoch: ctx.pipeline.committed_epoch(),
             })
         }
-        Frame::Replicate { manifest } => {
-            if ctx.data_dir.is_none() {
-                respond(Frame::Error {
-                    code: ErrorCode::NotDurable,
-                    detail: "server has no data directory; nothing to replicate".to_string(),
-                })
-            } else {
-                Action::Escalate(Box::new(Frame::Replicate { manifest }))
-            }
-        }
+        Frame::Replicate { manifest } => match &ctx.data_dir {
+            Some(data_dir) => Action::Escalate(StreamCommand::Replicate {
+                data_dir: data_dir.clone(),
+                manifest,
+            }),
+            None => respond(Frame::Error {
+                code: ErrorCode::NotDurable,
+                detail: "server has no data directory; nothing to replicate".to_string(),
+            }),
+        },
         Frame::Subscribe { lo, hi } => {
             if lo >= hi || hi > ctx.num_keys {
                 respond(Frame::Error {
@@ -1091,7 +1131,7 @@ fn dispatch(
                     ),
                 })
             } else {
-                Action::Escalate(Box::new(Frame::Subscribe { lo, hi }))
+                Action::Escalate(StreamCommand::Subscribe { lo, hi })
             }
         }
         // A client sending response-kind frames is confused; refuse
@@ -1140,7 +1180,7 @@ fn flush_outbox(conn: &mut Conn) {
 /// tuples as taken may leave for a socket before this settles. The wait
 /// is bounded: the accumulator drains the FIFOs continuously (and the
 /// shutdown drain empties them even mid-stop).
-pub(crate) fn settle(handle: &mut IngestHandle<u64>) {
+fn settle(handle: &mut IngestHandle<u64>) {
     loop {
         match handle.try_flush() {
             Ok(()) => return,
@@ -1152,14 +1192,9 @@ pub(crate) fn settle(handle: &mut IngestHandle<u64>) {
     }
 }
 
-/// Admits one `UPDATE` batch into the handle's coalescing buffers.
-/// Callers own the settle: the reactor settles once per round, the
-/// streamer threads settle per frame (the old per-response behavior).
-pub(crate) fn admit_update(
-    ctx: &Ctx,
-    handle: &mut IngestHandle<u64>,
-    tuples: &[(u32, u64)],
-) -> Frame {
+/// Admits one `UPDATE` batch into the handle's coalescing buffers; the
+/// reactor settles them once per round.
+fn admit_update(ctx: &Ctx, handle: &mut IngestHandle<u64>, tuples: &[(u32, u64)]) -> Frame {
     let mut accepted: u32 = 0;
     for &(key, value) in tuples {
         if key >= ctx.num_keys {
@@ -1196,7 +1231,7 @@ pub(crate) fn admit_update(
 /// QUERY: served from the S3-FIFO cache of `(epoch, block)` snapshot
 /// slices; a miss materializes the block from the latest published
 /// snapshot (never from the pipeline's live accumulators).
-pub(crate) fn handle_query(ctx: &Ctx, key: u32) -> Frame {
+fn handle_query(ctx: &Ctx, key: u32) -> Frame {
     if key >= ctx.num_keys {
         return Frame::Error {
             code: ErrorCode::KeyOutOfRange,
@@ -1264,7 +1299,7 @@ fn resolve_epoch(ctx: &Ctx, epoch: u64) -> Result<Arc<EpochSnapshot<u64>>, Box<F
 /// window, then serves through the same `(epoch, block)` cache as QUERY —
 /// the cache key already carries the epoch, so retained epochs coexist
 /// with the latest without any invalidation.
-pub(crate) fn handle_query_at(ctx: &Ctx, epoch: u64, key: u32) -> Frame {
+fn handle_query_at(ctx: &Ctx, epoch: u64, key: u32) -> Frame {
     if key >= ctx.num_keys {
         return Frame::Error {
             code: ErrorCode::KeyOutOfRange,
@@ -1305,7 +1340,7 @@ pub(crate) fn handle_query_at(ctx: &Ctx, epoch: u64, key: u32) -> Frame {
 /// The reply is a single `Delta` frame — the range cap
 /// ([`MAX_SNAPSHOT_KEYS`]) keeps the entry count within
 /// [`MAX_DELTA_ENTRIES`](crate::protocol::MAX_DELTA_ENTRIES).
-pub(crate) fn handle_diff(ctx: &Ctx, from_epoch: u64, to_epoch: u64, lo: u32, hi: u32) -> Frame {
+fn handle_diff(ctx: &Ctx, from_epoch: u64, to_epoch: u64, lo: u32, hi: u32) -> Frame {
     if lo >= hi || hi > ctx.num_keys || hi - lo > MAX_SNAPSHOT_KEYS {
         return Frame::Error {
             code: ErrorCode::BadRange,
@@ -1332,7 +1367,7 @@ pub(crate) fn handle_diff(ctx: &Ctx, from_epoch: u64, to_epoch: u64, lo: u32, hi
 }
 
 /// SNAPSHOT: a `[lo, hi)` slice of a retained epoch's values.
-pub(crate) fn handle_snapshot(ctx: &Ctx, epoch: u64, lo: u32, hi: u32) -> Frame {
+fn handle_snapshot(ctx: &Ctx, epoch: u64, lo: u32, hi: u32) -> Frame {
     if lo >= hi || hi > ctx.num_keys || hi - lo > MAX_SNAPSHOT_KEYS {
         return Frame::Error {
             code: ErrorCode::BadRange,
@@ -1364,10 +1399,7 @@ pub(crate) fn handle_snapshot(ctx: &Ctx, epoch: u64, lo: u32, hi: u32) -> Frame 
 mod tests {
     use super::*;
 
-    fn test_ctx(num_keys: u32, block_keys: u32) -> Ctx {
-        let stream_cfg = StreamConfig::new()
-            .shards(2)
-            .snapshot_segment_keys(block_keys as usize);
+    fn test_ctx(num_keys: u32, block_keys: u32, stream_cfg: StreamConfig) -> Ctx {
         Ctx {
             pipeline: IngestPipeline::new(num_keys, SumU64, stream_cfg),
             cache: S3FifoCache::new(16),
@@ -1375,19 +1407,20 @@ mod tests {
             stop: AtomicBool::new(false),
             num_keys,
             block_keys,
-            max_frame: MAX_FRAME,
             read_timeout: Duration::from_millis(10),
             data_dir: None,
             store: Arc::new(EpochStore::new(RetentionConfig::new())),
             hub: Arc::new(DeltaHub::new()),
             sub_queue_epochs: 16,
-            streamers: Mutex::new(Vec::new()),
+            poller: Poller::new().expect("poller"),
+            streamers: Mutex::new(Streamers::default()),
         }
     }
 
     #[test]
     fn query_miss_fills_cache_with_the_snapshot_segment_zero_copy() {
-        let ctx = test_ctx(4096, 512);
+        let stream_cfg = StreamConfig::new().shards(2).snapshot_segment_keys(512);
+        let ctx = test_ctx(4096, 512, stream_cfg);
         let mut h = ctx.pipeline.handle();
         for k in 0..4096u32 {
             h.send(k, u64::from(k)).unwrap();
@@ -1427,22 +1460,7 @@ mod tests {
     #[test]
     fn misaligned_block_size_falls_back_to_copying() {
         // Foreign pipeline config: segments of 256 keys, blocks of 512.
-        let stream_cfg = StreamConfig::new().snapshot_segment_keys(256);
-        let ctx = Ctx {
-            pipeline: IngestPipeline::new(1024, SumU64, stream_cfg),
-            cache: S3FifoCache::new(16),
-            counters: ServeCounters::default(),
-            stop: AtomicBool::new(false),
-            num_keys: 1024,
-            block_keys: 512,
-            max_frame: MAX_FRAME,
-            read_timeout: Duration::from_millis(10),
-            data_dir: None,
-            store: Arc::new(EpochStore::new(RetentionConfig::new())),
-            hub: Arc::new(DeltaHub::new()),
-            sub_queue_epochs: 16,
-            streamers: Mutex::new(Vec::new()),
-        };
+        let ctx = test_ctx(1024, 512, StreamConfig::new().snapshot_segment_keys(256));
         let mut h = ctx.pipeline.handle();
         h.send(700, 7).unwrap();
         h.seal_epoch().unwrap();
@@ -1457,5 +1475,45 @@ mod tests {
         assert_eq!(value, 7);
         drop(h);
         ctx.pipeline.shutdown();
+    }
+
+    /// A follower escalates once per replication round; finished streamer
+    /// threads must be reaped so the registry tracks only the live ones.
+    #[test]
+    fn replicate_rounds_on_one_connection_keep_the_streamer_registry_bounded() {
+        let dir = std::env::temp_dir().join(format!("cobra-serve-reap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = Server::start(
+            1024,
+            StreamConfig::new().shards(2),
+            ServeConfig::new()
+                .read_timeout(Duration::from_millis(10))
+                .data_dir(&dir),
+        )
+        .expect("bind durable server");
+        let mut client = crate::ServeClient::connect(server.local_addr()).expect("connect");
+        for _ in 0..50 {
+            // Each round runs only if the previous one handed the
+            // connection back to the reactor.
+            client
+                .replicate(Vec::new(), |_, _, _| Ok(()))
+                .expect("replication round");
+        }
+        let threads = server
+            .ctx
+            .streamers
+            .lock()
+            .expect("streamer registry poisoned")
+            .threads
+            .len();
+        // Only the last round's thread and any still exiting when it
+        // escalated survive reaping; without it this would be 50.
+        assert!(
+            threads < 10,
+            "{threads} streamer handles kept after 50 rounds"
+        );
+        assert_eq!(server.stats().repl_rounds, 50);
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

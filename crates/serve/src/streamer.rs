@@ -1,33 +1,52 @@
-//! Blocking service for escalated connections.
+//! Streaming commands, served off the reactor.
 //!
 //! `REPLICATE` and `SUBSCRIBE` answer with a *stream* of frames —
 //! multi-megabyte WAL shipping, open-ended delta pushes — that would
 //! monopolize a reactor round. When one arrives, the reactor deregisters
-//! the socket, flips it back to blocking mode, and hands it here together
-//! with any bytes already buffered (undelivered outbox responses, and
-//! inbox bytes read past the escalating frame). A dedicated streamer
-//! thread then serves the connection for the rest of its life with the
-//! old blocking loop: the leftover inbox bytes re-enter via
-//! [`PrefixedReader`] ahead of anything still in the socket, so the
-//! frame stream is seamless.
+//! the socket and hands it here together with any bytes already buffered
+//! (undelivered outbox responses, and inbox bytes read past the
+//! escalating frame). A streamer thread flips the socket to blocking mode
+//! and serves exactly that one command: one replication round through
+//! `ReplDone`, or one subscription session through `Unsubscribed`.
+//!
+//! Then it hands the connection back ([`resume`]): the socket returns to
+//! non-blocking mode and the reactor adopts it as a fresh request
+//! connection whose inbox holds every byte the streamer read past the
+//! command, so frames pipelined behind `UNSUBSCRIBE` are answered in
+//! order. Every non-streaming frame is therefore answered by the
+//! reactor's `dispatch` alone. A disconnect, an I/O error, a protocol
+//! violation or shutdown closes the connection instead.
 //!
 //! The two `set_nonblocking(false)` / `set_read_timeout` calls below are
 //! the *only* blocking-I/O establishment on the server side, and they run
 //! strictly after the poller registration is gone — the R11 lint's
 //! allowlist pins them to this file.
 
-use crate::protocol::{self, ErrorCode, Frame, ReadError, REPL_CHUNK};
-use crate::server::{admit_update, settle, Ctx};
+use crate::protocol::{
+    self, ErrorCode, Frame, ReadError, MAX_DELTA_ENTRIES, MAX_FRAME, REPL_CHUNK,
+};
+use crate::server::{Ctx, RESUME_TOKEN};
 use cobra_mvcc::SubMsg;
-use cobra_stream::{commit_dir, shard_dir, IngestHandle};
+use cobra_poll::Interest;
+use cobra_stream::{commit_dir, shard_dir};
 use std::collections::HashMap;
 use std::io::{self, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
 
-use crate::protocol::MAX_DELTA_ENTRIES;
+/// A request the reactor hands to a streamer thread. `dispatch` has
+/// already validated it: the server is durable, the range is in bounds.
+pub(crate) enum StreamCommand {
+    /// One WAL-shipping round from `data_dir`.
+    Replicate {
+        data_dir: PathBuf,
+        manifest: Vec<(String, u64)>,
+    },
+    /// One push session over keys `[lo, hi)`.
+    Subscribe { lo: u32, hi: u32 },
+}
 
 /// Replays escalation-leftover bytes before reading from the socket.
 struct PrefixedReader {
@@ -48,56 +67,42 @@ impl Read for PrefixedReader {
     }
 }
 
-/// Hands an escalated connection to a dedicated streamer thread. The
-/// thread is registered with the context so shutdown can join it; if the
-/// spawn itself fails the connection is simply dropped (closed).
+/// Hands an escalated connection to a streamer thread. The thread is
+/// registered with the context so shutdown can join it; if the spawn
+/// itself fails the connection is simply dropped (closed). A follower
+/// escalates once per replication round, so threads that have already
+/// finished are reaped here to keep the registry bounded by the live ones.
 pub(crate) fn escalate(
     ctx: &Arc<Ctx>,
     stream: TcpStream,
     leftover: Vec<u8>,
     pending_out: Vec<u8>,
-    first: Frame,
+    command: StreamCommand,
 ) {
     let thread_ctx = Arc::clone(ctx);
     let spawned = std::thread::Builder::new()
         .name("cobra-serve-streamer".into())
-        .spawn(move || stream_connection(&thread_ctx, stream, leftover, pending_out, first));
+        .spawn(move || serve_command(&thread_ctx, stream, leftover, pending_out, command));
+    let mut streamers = ctx.streamers.lock().expect("streamer registry poisoned");
+    streamers.threads.retain(|t| !t.is_finished());
     if let Ok(handle) = spawned {
-        ctx.streamers
-            .lock()
-            .expect("streamer registry poisoned")
-            .push(handle);
+        streamers.threads.push(handle);
     }
 }
 
-/// Whether the connection survives the frame just handled.
-enum FrameOutcome {
-    Continue,
-    Close,
-}
-
-/// The escalated connection's whole remaining life: deliver the staged
-/// reactor responses, handle the escalating frame, then run the blocking
-/// request loop until EOF, a fatal error, or shutdown.
-fn stream_connection(
+/// One streaming command's life: deliver the staged reactor responses,
+/// serve the command, then hand the connection back to the reactor.
+fn serve_command(
     ctx: &Ctx,
     stream: TcpStream,
     leftover: Vec<u8>,
     pending_out: Vec<u8>,
-    first: Frame,
+    command: StreamCommand,
 ) {
     if stream.set_nonblocking(false).is_err() {
         return;
     }
     let _ = stream.set_read_timeout(Some(ctx.read_timeout));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(PrefixedReader {
-        leftover,
-        pos: 0,
-        inner: read_half,
-    });
     let mut writer = stream;
     let mut scratch = Vec::new();
     // Responses the reactor staged for earlier pipelined frames but had
@@ -105,216 +110,81 @@ fn stream_connection(
     if !pending_out.is_empty() && writer.write_all(&pending_out).is_err() {
         return;
     }
-    let mut handle = ctx.pipeline.handle();
-    if matches!(
-        process_frame(
-            ctx,
-            &mut reader,
-            &mut writer,
-            &mut handle,
-            &mut scratch,
-            first
-        ),
-        FrameOutcome::Close
-    ) {
-        let _ = handle.flush();
-        return;
-    }
-    loop {
-        match protocol::read_frame(&mut reader, ctx.max_frame) {
-            Ok(Some(frame)) => {
-                // ordering: Relaxed — stats counter (the escalating frame
-                // was already counted by the reactor).
-                ctx.counters.frames.fetch_add(1, Ordering::Relaxed);
-                if matches!(
-                    process_frame(
-                        ctx,
-                        &mut reader,
-                        &mut writer,
-                        &mut handle,
-                        &mut scratch,
-                        frame
-                    ),
-                    FrameOutcome::Close
-                ) {
-                    break;
-                }
-            }
-            Ok(None) => break, // clean close
-            Err(ReadError::Idle) => {
-                // Timed out between frames: the stream is still aligned,
-                // so just poll the shutdown flag and keep listening.
-                if ctx.stopping() {
-                    break;
-                }
-            }
-            Err(ReadError::Io(_)) => break,
-            Err(ReadError::Wire(e)) => {
-                // Framing is lost; tell the client why, then hang up.
-                let response = Frame::Error {
-                    code: ErrorCode::Malformed,
-                    detail: e.to_string(),
-                };
-                let _ = protocol::write_frame(&mut writer, &response, &mut scratch);
-                break;
-            }
+    let rest = match command {
+        // Replication only writes, so the unread bytes are exactly the
+        // escalation leftover.
+        StreamCommand::Replicate { data_dir, manifest } => {
+            handle_replicate(ctx, &mut writer, &data_dir, &manifest, &mut scratch)
+                .ok()
+                .map(|()| leftover)
         }
-    }
-    // Batches coalesced for a closed connection must not linger in this
-    // thread's buffers.
-    let _ = handle.flush();
-}
-
-/// Dispatches one frame on the blocking path. The streaming requests get
-/// the writer (they answer with many frames); everything else is one
-/// response frame via [`handle_frame`].
-fn process_frame<R: Read>(
-    ctx: &Ctx,
-    reader: &mut BufReader<R>,
-    writer: &mut TcpStream,
-    handle: &mut IngestHandle<u64>,
-    scratch: &mut Vec<u8>,
-    frame: Frame,
-) -> FrameOutcome {
-    if let Frame::Replicate { manifest } = frame {
-        return if handle_replicate(ctx, writer, &manifest, scratch).is_err() {
-            FrameOutcome::Close
-        } else {
-            FrameOutcome::Continue
-        };
-    }
-    if let Frame::Subscribe { lo, hi } = frame {
-        return match handle_subscribe(ctx, reader, writer, lo, hi, scratch) {
-            SubscribeOutcome::Resume => FrameOutcome::Continue,
-            SubscribeOutcome::Close => FrameOutcome::Close,
-        };
-    }
-    let response = handle_frame(ctx, handle, frame);
-    if protocol::write_frame(writer, &response, scratch).is_err() {
-        FrameOutcome::Close
-    } else {
-        FrameOutcome::Continue
+        StreamCommand::Subscribe { lo, hi } => {
+            handle_subscribe(ctx, &mut writer, leftover, lo, hi, &mut scratch)
+        }
+    };
+    if let Some(rest) = rest {
+        if !ctx.stopping() {
+            resume(ctx, writer, rest);
+        }
     }
 }
 
-/// The blocking single-response dispatch (the pre-reactor `handle_frame`,
-/// still the law on escalated connections).
-fn handle_frame(ctx: &Ctx, handle: &mut IngestHandle<u64>, frame: Frame) -> Frame {
-    match frame {
-        Frame::Update(tuples) => {
-            let response = admit_update(ctx, handle, &tuples);
-            // Per-response settle: acknowledged tuples are visible to a
-            // SEAL on any connection before the response leaves.
-            settle(handle);
-            response
-        }
-        Frame::Seal => match handle.seal_epoch() {
-            Ok(epoch) => Frame::Sealed { epoch },
-            Err(_) => Frame::Error {
-                code: ErrorCode::ShuttingDown,
-                detail: "pipeline closed".to_string(),
-            },
-        },
-        Frame::Query { key } => {
-            // ordering: Relaxed — stats counter.
-            ctx.counters.queries.fetch_add(1, Ordering::Relaxed);
-            crate::server::handle_query(ctx, key)
-        }
-        Frame::Snapshot { epoch, lo, hi } => crate::server::handle_snapshot(ctx, epoch, lo, hi),
-        Frame::QueryAt { epoch, key } => {
-            // ordering: Relaxed — stats counter.
-            ctx.counters.queries.fetch_add(1, Ordering::Relaxed);
-            crate::server::handle_query_at(ctx, epoch, key)
-        }
-        Frame::Diff {
-            from_epoch,
-            to_epoch,
-            lo,
-            hi,
-        } => crate::server::handle_diff(ctx, from_epoch, to_epoch, lo, hi),
-        Frame::Unsubscribe => Frame::Error {
-            code: ErrorCode::Malformed,
-            detail: "UNSUBSCRIBE without an active subscription".to_string(),
-        },
-        Frame::Stats => Frame::StatsReport(ctx.wire_stats()),
-        Frame::WaitEpoch { epoch } => handle_wait_epoch(ctx, epoch),
-        Frame::Ack { epoch, bytes: _ } => {
-            // ordering: Relaxed — audited: monotonic high-water mark of
-            // follower acknowledgements, read only by stats; replication
-            // correctness never depends on it.
-            ctx.counters
-                .repl_acked_epoch
-                .fetch_max(epoch, Ordering::Relaxed); // ordering: stats high-water
-            Frame::EpochCommitted {
-                epoch: ctx.pipeline.committed_epoch(),
-            }
-        }
-        // A client sending response-kind frames is confused; refuse
-        // politely instead of guessing.
-        _ => Frame::Error {
-            code: ErrorCode::Malformed,
-            detail: "response-kind frame sent as a request".to_string(),
-        },
+/// Returns the connection to the reactor. The socket is registered under
+/// [`RESUME_TOKEN`] with write interest *before* it is queued: a writable
+/// socket fires at once and level triggering re-fires until the reactor
+/// re-registers it under its own token, so the hand-back cannot be missed
+/// however the two threads interleave. (A peer that leaves a full send
+/// buffer unread delays the event until it reads; until then it could
+/// not take an answer anyway.)
+fn resume(ctx: &Ctx, stream: TcpStream, inbox: Vec<u8>) {
+    if stream.set_nonblocking(true).is_err()
+        || ctx
+            .poller
+            .register(&stream, RESUME_TOKEN, Interest::WRITE)
+            .is_err()
+    {
+        return; // drop closes the socket
     }
+    ctx.streamers
+        .lock()
+        .expect("streamer registry poisoned")
+        .resumed
+        .push((stream, inbox));
 }
 
-/// WAIT_EPOCH on the blocking path: this thread owns nothing but the
-/// connection, so it may simply poll (the reactor, by contrast, parks the
-/// connection).
-fn handle_wait_epoch(ctx: &Ctx, epoch: u64) -> Frame {
-    loop {
-        let committed = ctx.pipeline.committed_epoch();
-        if committed >= epoch {
-            return Frame::EpochCommitted { epoch: committed };
-        }
-        if ctx.stopping() {
-            return Frame::Error {
-                code: ErrorCode::ShuttingDown,
-                detail: format!("stopped while waiting for epoch {epoch} (at {committed})"),
-            };
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-}
-
-/// What the connection loop should do after a subscription ends.
-enum SubscribeOutcome {
+/// How a subscription session ended.
+enum SessionEnd {
     /// Clean `Unsubscribe`: the connection resumes request/response mode.
-    Resume,
-    /// Disconnect, I/O failure or protocol violation: hang up.
-    Close,
+    Unsubscribed,
+    /// A request other than `Unsubscribe` arrived mid-session.
+    Violation,
+    /// Disconnect, I/O failure or shutdown.
+    Gone,
 }
 
-/// SUBSCRIBE: flips the connection into push mode. This thread keeps the
-/// read half (watching for `Unsubscribe`, EOF, or shutdown) and hands a
-/// clone of the write half to a pusher thread that streams `Delta` /
-/// `Lagged` frames; exactly one side writes at any time — the streamer
-/// only writes again after the pusher has been torn down and joined.
-fn handle_subscribe<R: Read>(
+/// SUBSCRIBE: one push session. This thread keeps the read half
+/// (watching for `Unsubscribe`, EOF, or shutdown) and hands a clone of
+/// the write half to a pusher thread that streams `Delta` / `Lagged`
+/// frames; exactly one side writes at any time — the streamer only
+/// writes again after the pusher has been torn down and joined.
+///
+/// Returns every byte read past `UNSUBSCRIBE` when the client left
+/// cleanly, `None` when the connection must close.
+fn handle_subscribe(
     ctx: &Ctx,
-    reader: &mut BufReader<R>,
     writer: &mut TcpStream,
+    leftover: Vec<u8>,
     lo: u32,
     hi: u32,
     scratch: &mut Vec<u8>,
-) -> SubscribeOutcome {
-    if lo >= hi || hi > ctx.num_keys {
-        let response = Frame::Error {
-            code: ErrorCode::BadRange,
-            detail: format!(
-                "subscribe range {lo}..{hi} invalid (num_keys {})",
-                ctx.num_keys
-            ),
-        };
-        return if protocol::write_frame(writer, &response, scratch).is_ok() {
-            SubscribeOutcome::Resume
-        } else {
-            SubscribeOutcome::Close
-        };
-    }
-    let Ok(push_writer) = writer.try_clone() else {
-        return SubscribeOutcome::Close;
-    };
+) -> Option<Vec<u8>> {
+    let read_half = writer.try_clone().ok()?;
+    let push_writer = writer.try_clone().ok()?;
+    let mut reader = BufReader::new(PrefixedReader {
+        leftover,
+        pos: 0,
+        inner: read_half,
+    });
     // Register BEFORE reading the baseline: an epoch published between
     // the two is then either enqueued for us or already part of the
     // baseline (the hook admits to the store before fanning out) — never
@@ -326,63 +196,50 @@ fn handle_subscribe<R: Read>(
     };
     if protocol::write_frame(writer, &Frame::Subscribed { epoch: baseline }, scratch).is_err() {
         ctx.hub.unsubscribe(sub.id());
-        return SubscribeOutcome::Close;
+        return None;
     }
-    let mut acked = false;
-    let mut violation = false;
-    std::thread::scope(|s| {
+    let end = std::thread::scope(|s| {
         s.spawn(|| push_loop(ctx, &sub, push_writer, baseline));
-        loop {
-            match protocol::read_frame(reader, ctx.max_frame) {
-                Ok(Some(Frame::Unsubscribe)) => {
-                    ctx.hub.unsubscribe(sub.id());
-                    acked = true;
-                    return;
-                }
-                Ok(Some(_)) => {
-                    // Any other request mid-subscription would interleave
-                    // its response with the pushes; refuse and hang up.
-                    ctx.hub.unsubscribe(sub.id());
-                    violation = true;
-                    return;
-                }
-                Ok(None) => {
-                    // Disconnect: the unsubscribe-on-disconnect guarantee.
-                    ctx.hub.unsubscribe(sub.id());
-                    return;
-                }
-                Err(ReadError::Idle) => {
-                    if ctx.stopping() {
-                        ctx.hub.unsubscribe(sub.id());
-                        return;
-                    }
-                }
-                Err(_) => {
-                    ctx.hub.unsubscribe(sub.id());
-                    return;
-                }
+        let end = loop {
+            match protocol::read_frame(&mut reader, MAX_FRAME) {
+                Ok(Some(Frame::Unsubscribe)) => break SessionEnd::Unsubscribed,
+                // Any other request mid-subscription would interleave
+                // its response with the pushes; refuse and hang up.
+                Ok(Some(_)) => break SessionEnd::Violation,
+                Err(ReadError::Idle) if !ctx.stopping() => {}
+                // Disconnect (the unsubscribe-on-disconnect guarantee),
+                // I/O or framing failure, shutdown.
+                _ => break SessionEnd::Gone,
             }
-        }
-        // The scope join below waits for the pusher to drain its queue
-        // and exit before this thread touches the writer again.
+        };
+        // Closing the subscription ends the pusher; the scope join waits
+        // for it to drain and exit before this thread writes again.
+        ctx.hub.unsubscribe(sub.id());
+        end
     });
-    if acked {
-        let bye = Frame::Unsubscribed {
-            epoch: ctx.pipeline.published_epoch(),
-        };
-        if protocol::write_frame(writer, &bye, scratch).is_err() {
-            return SubscribeOutcome::Close;
+    match end {
+        SessionEnd::Unsubscribed => {
+            let bye = Frame::Unsubscribed {
+                epoch: ctx.pipeline.published_epoch(),
+            };
+            protocol::write_frame(writer, &bye, scratch).ok()?;
+            // The bytes read past UNSUBSCRIBE: what the BufReader holds,
+            // then the escalation leftover it has not replayed yet.
+            let mut rest = reader.buffer().to_vec();
+            let prefixed = reader.into_inner();
+            rest.extend_from_slice(&prefixed.leftover[prefixed.pos..]);
+            Some(rest)
         }
-        return SubscribeOutcome::Resume;
+        SessionEnd::Violation => {
+            let response = Frame::Error {
+                code: ErrorCode::Malformed,
+                detail: "only UNSUBSCRIBE is valid while subscribed".to_string(),
+            };
+            let _ = protocol::write_frame(writer, &response, scratch);
+            None
+        }
+        SessionEnd::Gone => None,
     }
-    if violation {
-        let response = Frame::Error {
-            code: ErrorCode::Malformed,
-            detail: "only UNSUBSCRIBE is valid while subscribed".to_string(),
-        };
-        let _ = protocol::write_frame(writer, &response, scratch);
-    }
-    SubscribeOutcome::Close
 }
 
 /// Streams one subscriber's queue to its socket: per-epoch `Delta` frames
@@ -460,16 +317,10 @@ fn push_loop(ctx: &Ctx, sub: &cobra_mvcc::Subscriber<u64>, mut writer: TcpStream
 fn handle_replicate(
     ctx: &Ctx,
     writer: &mut TcpStream,
+    data_dir: &Path,
     manifest: &[(String, u64)],
     scratch: &mut Vec<u8>,
 ) -> io::Result<()> {
-    let Some(data_dir) = &ctx.data_dir else {
-        let response = Frame::Error {
-            code: ErrorCode::NotDurable,
-            detail: "server has no data directory; nothing to replicate".to_string(),
-        };
-        return protocol::write_frame(writer, &response, scratch);
-    };
     let have: HashMap<&str, u64> = manifest.iter().map(|(n, l)| (n.as_str(), *l)).collect();
     let round = (|| -> io::Result<(u64, Vec<CommitCapture>, Vec<cobra_wal::ShipFile>)> {
         // Capture FIRST: the committed epoch and the commit-log bytes that
@@ -566,7 +417,7 @@ fn handle_replicate(
 type CommitCapture = (String, u64, Vec<u8>);
 
 /// Reads `path` from `offset` to EOF (the commit-log capture).
-fn read_suffix(path: &std::path::Path, offset: u64) -> io::Result<Vec<u8>> {
+fn read_suffix(path: &Path, offset: u64) -> io::Result<Vec<u8>> {
     let mut out = Vec::new();
     let mut at = offset;
     loop {

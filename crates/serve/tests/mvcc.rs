@@ -339,6 +339,56 @@ fn unsubscribe_returns_the_connection_to_request_mode() {
     server.shutdown();
 }
 
+/// Requests written in the same `write` as `UNSUBSCRIBE` reach the
+/// server before the subscription ends; they must be answered, in order,
+/// once the connection is back in request mode.
+#[test]
+fn requests_pipelined_behind_unsubscribe_are_answered_in_order() {
+    let server = mvcc_server(4, 16);
+    let mut driver = ServeClient::connect(server.local_addr()).expect("connect driver");
+    seal_and_publish(&mut driver, &[(5, 55)]);
+
+    let mut raw = TcpStream::connect(server.local_addr()).expect("connect raw");
+    raw.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set read timeout");
+    let mut scratch = Vec::new();
+    protocol::write_frame(
+        &mut raw,
+        &Frame::Subscribe { lo: 0, hi: KEYS },
+        &mut scratch,
+    )
+    .expect("subscribe");
+    let read = |raw: &mut TcpStream| match protocol::read_frame(raw, protocol::MAX_FRAME) {
+        Ok(Some(frame)) => frame,
+        other => panic!("expected a frame, got {other:?}"),
+    };
+    assert!(matches!(read(&mut raw), Frame::Subscribed { .. }));
+
+    let mut burst = Vec::new();
+    for frame in [Frame::Unsubscribe, Frame::Query { key: 5 }, Frame::Stats] {
+        protocol::encode(&frame, &mut scratch);
+        burst.extend_from_slice(&scratch);
+    }
+    raw.write_all(&burst).expect("pipelined burst");
+    loop {
+        match read(&mut raw) {
+            Frame::Delta { .. } | Frame::Lagged { .. } => continue,
+            Frame::Unsubscribed { .. } => break,
+            other => panic!("expected Unsubscribed, got {other:?}"),
+        }
+    }
+    match read(&mut raw) {
+        Frame::Value { value, .. } => assert_eq!(value, 55),
+        other => panic!("QUERY behind UNSUBSCRIBE answered with {other:?}"),
+    }
+    match read(&mut raw) {
+        Frame::StatsReport(stats) => assert_eq!(stats.active_subscribers, 0),
+        other => panic!("STATS behind UNSUBSCRIBE answered with {other:?}"),
+    }
+    drop(raw);
+    server.shutdown();
+}
+
 #[test]
 fn subscribe_rejects_bad_ranges_without_killing_the_connection() {
     let server = mvcc_server(2, 16);

@@ -406,3 +406,66 @@ fn idle_between_frames_is_not_budgeted() {
     let (snapshot, _) = server.shutdown();
     assert_eq!(*snapshot.get(2), 42);
 }
+
+/// After a `REPLICATE` round the connection is an ordinary reactor
+/// connection again: its `UPDATE` is acknowledged under the round-level
+/// settle rule (a `SEAL` on *another* connection makes it visible), and
+/// its `WAIT_EPOCH` parks until the epoch commits.
+#[test]
+fn connection_resumed_after_replicate_obeys_the_reactor_rules() {
+    let dir = std::env::temp_dir().join(format!(
+        "cobra-serve-resume-replicate-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let stream_cfg = StreamConfig::new().shards(2).batch_tuples(8);
+    let serve_cfg = ServeConfig::new()
+        .read_timeout(Duration::from_millis(10))
+        .data_dir(&dir);
+    let server = Server::start(64, stream_cfg, serve_cfg).expect("bind durable server");
+    let addr = server.local_addr();
+    let mut follower = ServeClient::connect(addr).expect("connect follower");
+    follower
+        .replicate(Vec::new(), |_, _, _| Ok(()))
+        .expect("replication round");
+
+    // Same connection, back in request mode.
+    let outcome = follower.update(&[(9, 90)]).expect("update after REPLICATE");
+    assert_eq!((outcome.accepted, outcome.busy), (1, false));
+    let mut sealer = ServeClient::connect(addr).expect("connect sealer");
+    let sealed = sealer.seal().expect("seal on another connection");
+    let committed = follower.wait_epoch(sealed).expect("wait for the seal");
+    assert!(committed >= sealed);
+    // Commit precedes publish; poll until the sealed epoch is readable.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let (epoch, value) = follower.query(9).expect("query");
+        if epoch >= sealed {
+            assert_eq!(
+                value, 90,
+                "acknowledged update missing from the sealed epoch"
+            );
+            break;
+        }
+        assert!(Instant::now() < deadline, "epoch {sealed} never published");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    // A wait for a future epoch parks the resumed connection until a
+    // later seal commits it.
+    let later = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(50));
+        sealer.seal().expect("second seal")
+    });
+    let committed = follower
+        .wait_epoch(sealed + 1)
+        .expect("parked wait answered");
+    assert!(committed > sealed);
+    later.join().expect("sealer thread");
+
+    drop(follower);
+    let (snapshot, stats) = server.shutdown();
+    assert_eq!(*snapshot.get(9), 90);
+    assert_eq!(stats.repl_rounds, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}

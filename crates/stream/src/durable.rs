@@ -37,7 +37,7 @@
 //! truncated, and the writers resume at the truncation point.
 
 use crate::epoch::{EpochEvent, EpochSink, PublishHook};
-use crate::pipeline::{shard_plan, DurableParts, IngestPipeline, StreamConfig};
+use crate::pipeline::{shard_plan, DurableParts, IngestPipeline, StreamConfig, MIN_BINS_PER_SHARD};
 use crate::reducer::Reducer;
 use crate::shard::ShardWal;
 use cobra_pb::Binner;
@@ -273,7 +273,7 @@ where
         let mut binners = Vec::with_capacity(num_shards);
         for (s, range) in ranges.iter().enumerate() {
             let local_keys = range.end - range.start;
-            let mut binner = Binner::new(local_keys, cfg.min_bins_per_shard);
+            let mut binner = Binner::new(local_keys, MIN_BINS_PER_SHARD);
             let sdir = shard_dir(&durable.dir, s);
             let mut done = checkpoint_epoch >= committed;
             let mut tuples_here = 0u64;

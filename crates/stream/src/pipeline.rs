@@ -6,6 +6,7 @@ use crate::epoch::{AccMsg, Accumulator, EpochSink, EpochSnapshot, PublishHook};
 use crate::reducer::Reducer;
 use crate::shard::{ShardMsg, ShardWal, ShardWorker};
 use crate::stats::{ShardCounters, ShardStats, StreamStats};
+use cobra_bins::bin_geometry;
 use cobra_pb::{Binner, Tuple};
 use cobra_wal::WalStats;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,6 +48,9 @@ impl std::fmt::Display for TryIngestError {
 
 impl std::error::Error for TryIngestError {}
 
+/// Minimum bins per shard binner (per-shard accumulate granularity).
+pub(crate) const MIN_BINS_PER_SHARD: usize = 16;
+
 /// Tuning knobs of an [`IngestPipeline`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamConfig {
@@ -60,8 +64,6 @@ pub struct StreamConfig {
     /// Tuples coalesced per handle-side batch before it is shipped (the
     /// C-Buffer-line analogue).
     pub batch_tuples: usize,
-    /// Minimum bins per shard binner (per-shard accumulate granularity).
-    pub min_bins_per_shard: usize,
     /// Auto-seal an epoch every this many ingested tuples (`None` =
     /// only explicit [`seal_epoch`](IngestPipeline::seal_epoch) calls and
     /// the final drain).
@@ -81,7 +83,6 @@ impl Default for StreamConfig {
             shards: 4,
             channel_capacity: 64,
             batch_tuples: 64,
-            min_bins_per_shard: 16,
             epoch_tuples: None,
             snapshot_segment_keys: 1024,
         }
@@ -109,12 +110,6 @@ impl StreamConfig {
     /// Sets the handle-side coalescing batch size in tuples.
     pub fn batch_tuples(mut self, tuples: usize) -> Self {
         self.batch_tuples = tuples;
-        self
-    }
-
-    /// Sets the minimum bins per shard binner.
-    pub fn min_bins_per_shard(mut self, bins: usize) -> Self {
-        self.min_bins_per_shard = bins;
         self
     }
 
@@ -399,24 +394,19 @@ pub(crate) struct DurableParts<R: Reducer> {
 /// the key partition for replay to hit the right binners. Public because
 /// the cluster router reuses the same plan to map key ranges onto nodes —
 /// locale routing at every tier uses one geometry.
+///
+/// The shift and count are [`bin_geometry`]'s: shards are bins one tier
+/// up, so the shard count is as close to the request as the rounding
+/// allows (at most `min(shards, num_keys)`).
+///
+/// # Panics
+///
+/// Panics if `num_keys == 0` or `shards == 0`.
 pub fn shard_plan(num_keys: u32, shards: usize) -> (u32, Vec<std::ops::Range<u32>>) {
-    // Power-of-two shard span, mirroring Binner's bin-range rounding:
-    // routing is a shift, and the shard count is as close to the
-    // request as the rounding allows (at most min(shards, num_keys)).
-    let mut span = (num_keys as u64)
-        .div_ceil(shards as u64)
-        .next_power_of_two();
-    if (num_keys as u64).div_ceil(span) < shards as u64 && span > 1 {
-        span /= 2;
-    }
-    let shard_shift = span.trailing_zeros();
-    let num_shards = (num_keys as u64).div_ceil(span) as usize;
-    let ranges = (0..num_shards)
-        .map(|s| {
-            let lo = (s as u64 * span) as u32;
-            let hi = ((s as u64 + 1) * span).min(num_keys as u64) as u32;
-            lo..hi
-        })
+    let (shard_shift, num_shards) = bin_geometry(num_keys, shards);
+    let span = 1u64 << shard_shift;
+    let ranges = (0..num_shards as u64)
+        .map(|s| (s * span) as u32..((s + 1) * span).min(num_keys as u64) as u32)
         .collect();
     (shard_shift, ranges)
 }
@@ -459,10 +449,6 @@ impl<R: Reducer> IngestPipeline<R> {
         assert!(cfg.shards > 0, "need at least one shard");
         assert!(cfg.channel_capacity > 0, "need channel capacity");
         assert!(cfg.batch_tuples > 0, "need a batch size");
-        assert!(
-            cfg.min_bins_per_shard > 0,
-            "need at least one bin per shard"
-        );
         if let Some(t) = cfg.epoch_tuples {
             assert!(t > 0, "epoch_tuples must be positive");
         }
@@ -545,7 +531,7 @@ impl<R: Reducer> IngestPipeline<R> {
                 // through; otherwise build a fresh one.
                 binner: binners[s]
                     .take()
-                    .unwrap_or_else(|| Binner::new(local_keys, cfg.min_bins_per_shard)),
+                    .unwrap_or_else(|| Binner::new(local_keys, MIN_BINS_PER_SHARD)),
                 reducer: Arc::clone(&reducer),
                 counters: Arc::clone(&shard_counters[s]),
                 acc_tx: acc_tx.clone(),
@@ -800,6 +786,41 @@ impl<R: Reducer> IngestPipeline<R> {
 mod tests {
     use super::*;
     use crate::reducer::{Append, Count, Latest};
+
+    #[test]
+    fn shard_plan_agrees_with_bin_geometry() {
+        // (num_keys, shards) -> (shard_shift, num_shards), including a
+        // request above num_keys and the full u32 key space.
+        let table: [(u32, usize, u32, usize); 6] = [
+            (1, 1, 0, 1),
+            (5, 8, 0, 5),
+            (100, 3, 5, 4),
+            (1 << 16, 4, 14, 4),
+            (1000, 1, 10, 1),
+            (u32::MAX, 7, 29, 8),
+        ];
+        for (num_keys, shards, shift, count) in table {
+            let (plan_shift, ranges) = shard_plan(num_keys, shards);
+            assert_eq!(
+                (plan_shift, ranges.len()),
+                (shift, count),
+                "{num_keys} keys / {shards}"
+            );
+        }
+        for num_keys in (1..600u32).chain([4095, 4096, 4097, 1 << 20, u32::MAX]) {
+            for shards in 1..70usize {
+                let (shift, ranges) = shard_plan(num_keys, shards);
+                assert_eq!((shift, ranges.len()), bin_geometry(num_keys, shards));
+                // The ranges tile 0..num_keys in spans of 2^shift.
+                assert_eq!(ranges[0].start, 0);
+                assert_eq!(ranges[ranges.len() - 1].end, num_keys);
+                for (s, r) in ranges.iter().enumerate() {
+                    assert_eq!(u64::from(r.start) >> shift, s as u64);
+                    assert_eq!(u64::from(r.end - 1) >> shift, s as u64);
+                }
+            }
+        }
+    }
 
     #[test]
     fn count_matches_direct_histogram() {
